@@ -39,37 +39,34 @@ type autotuneArm struct {
 	report    *serve.LoadReport
 	score     float64
 	relEnergy float64
-	trace     serve.AutotuneTrace
+	trace     serve.DecisionTrace
 	metrics   map[string]float64 // registry snapshot, -json runs only
 }
 
 // runAutotuneBench compares static levels, the battery governor, and
-// the closed-loop RL controller under the bursty profile, verifies the
-// closed-loop decision trace replays deterministically, and fails when
-// the closed loop scores below the worst static level.
+// the closed-loop RL learner under the bursty profile, verifies both
+// controller arms' decision traces replay deterministically, and fails
+// when the closed loop scores below the worst static level.
 func runAutotuneBench(spec autotuneBenchSpec) error {
 	levels, costs, err := autotuneLevelTable(spec)
 	if err != nil {
 		return err
 	}
 
-	atCfg := serve.AutotuneConfig{Every: 10 * time.Millisecond, Seed: spec.seed}
 	var arms []autotuneArm
 	for i := range levels {
-		arm, err := runAutotuneArm(spec, "static-"+levels[i].Name, i, nil, nil)
+		arm, err := runAutotuneArm(spec, "static-"+levels[i].Name, i, "")
 		if err != nil {
 			return err
 		}
 		arms = append(arms, arm)
 	}
-	govArm, err := runAutotuneArm(spec, "governor", -1, func(eng *serve.Engine) serve.Policy {
-		return serve.NewGovernorPolicy(eng.Levels(), 64)
-	}, nil)
+	govArm, err := runAutotuneArm(spec, "governor", -1, "governor")
 	if err != nil {
 		return err
 	}
 	arms = append(arms, govArm)
-	rlArm, err := runAutotuneArm(spec, "rl-closed-loop", -1, nil, &atCfg)
+	rlArm, err := runAutotuneArm(spec, "rl-closed-loop", -1, "rl")
 	if err != nil {
 		return err
 	}
@@ -109,14 +106,16 @@ func runAutotuneBench(spec autotuneBenchSpec) error {
 		jsonRep.Autotune = section
 	}
 
-	// the closed loop must be auditable: replay the recorded trace
+	// both controllers must be auditable: replay each recorded trace
 	// through a fresh controller and require identical decisions
-	replayed, err := serve.ReplayTrace(levels, dvfs.DefaultPowerModel(), autotuneCycles, atCfg, rlArm.trace)
-	if err != nil {
-		return fmt.Errorf("autotune trace replay: %w", err)
+	for _, a := range []autotuneArm{govArm, rlArm} {
+		replayed, err := serve.ReplayTrace(levels, dvfs.DefaultPowerModel(), autotuneCycles, a.trace)
+		if err != nil {
+			return fmt.Errorf("%s trace replay: %w", a.name, err)
+		}
+		fmt.Printf("decision trace (%s): %d ticks, replay from seed %d reproduced all decisions\n",
+			a.name, len(replayed), a.trace.Seed)
 	}
-	fmt.Printf("decision trace: %d ticks, replay from seed %d reproduced all decisions\n",
-		len(replayed), rlArm.trace.Seed)
 
 	worst, best := arms[0], arms[0]
 	for _, a := range arms[:len(levels)] { // static arms only
@@ -178,9 +177,9 @@ var (
 // runAutotuneArm builds a fresh deployment (same seed — identical
 // weights and pattern sets per arm), serves the spec's bursty profile
 // under the arm's controller, and returns its report. static >= 0 pins
-// that level with no controller; buildPol installs a Policy; at enables
-// the closed-loop autotuner.
-func runAutotuneArm(spec autotuneBenchSpec, name string, static int, buildPol func(*serve.Engine) serve.Policy, at *serve.AutotuneConfig) (autotuneArm, error) {
+// that level with no controller; a non-empty policy names the
+// serve.NewPolicy strategy the control loop runs.
+func runAutotuneArm(spec autotuneBenchSpec, name string, static int, policy string) (autotuneArm, error) {
 	rng := rand.New(rand.NewSource(spec.seed))
 	model := transformer.NewClassifier(transformer.Config{
 		Vocab: 24, Dim: 32, Heads: 2, FFHidden: 64, EncLayers: 2, SeqLen: 10, Classes: 3,
@@ -208,12 +207,12 @@ func runAutotuneArm(spec autotuneBenchSpec, name string, static int, buildPol fu
 	cfg := serve.Config{
 		MaxBatch: 8, MaxDelay: 2 * time.Millisecond, QueueCap: 4096,
 		TargetMS: spec.targetMS, BatteryJ: spec.batteryJ, SimDVFS: true,
-		PolicyEvery:        10 * time.Millisecond,
 		CyclesPerInference: autotuneCycles,
-		Autotune:           at,
 	}
-	if buildPol != nil {
-		cfg.Policy = buildPol(eng)
+	if policy != "" {
+		if cfg.Policy, err = serve.NewPolicy(policy, eng.Levels(), spec.seed); err != nil {
+			return autotuneArm{}, err
+		}
 	}
 	srv := serve.New(eng, cfg)
 	srv.Start()
@@ -232,7 +231,7 @@ func runAutotuneArm(spec autotuneBenchSpec, name string, static int, buildPol fu
 		return autotuneArm{}, fmt.Errorf("%s: %w", name, err)
 	}
 	arm := autotuneArm{name: name, report: report}
-	if tr, ok := srv.AutotuneTrace(); ok {
+	if tr, ok := srv.DecisionTrace(); ok {
 		arm.trace = tr
 	}
 	if jsonRep != nil {

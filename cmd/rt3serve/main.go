@@ -19,11 +19,12 @@
 // [1, -gen-tokens]; the load path samples both uniformly from
 // [max/2, max].
 //
-// With -autotune (requires -load) the level is driven by the closed-loop
-// RL/DVFS controller instead of a -policy: every -autotune-every tick it
-// converts the live telemetry window into the controller's state space,
-// picks a level epsilon-greedily, learns online from the observed
-// reward, and prints its decision log after the run. Works in both
+// With -load the level is driven by the server's control loop running
+// the -policy strategy: the battery governor (default) or the online RL
+// learner, which converts the live telemetry window into its state
+// space, picks a level epsilon-greedily and learns from the observed
+// reward. Either way every 10ms tick is recorded in a replayable
+// decision trace whose tail prints after the run. Works in both
 // classification and generation mode — in the latter, switches land
 // mid-generation at decode-step granularity.
 //
@@ -56,10 +57,9 @@
 //	rt3serve
 //	rt3serve -load
 //	rt3serve -load -policy rl -duration 3s -rps-start 200 -rps-end 900
-//	rt3serve -load -autotune
 //	rt3serve -gen
 //	rt3serve -gen -load -gen-tokens 24 -rps-start 100 -rps-end 400
-//	rt3serve -gen -load -autotune -duration 3s
+//	rt3serve -gen -load -policy rl -duration 3s
 //	rt3serve -cluster 4
 //	rt3serve -cluster 4 -router least-loaded -load -duration 3s -step-floor 1ms
 //	rt3serve -cluster 3 -chaos crash
@@ -76,11 +76,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"rt3/internal/deploy"
-	"rt3/internal/dvfs"
+	"rt3/internal/kernel"
 	"rt3/internal/obs"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
@@ -105,17 +106,15 @@ func main() {
 		rpsStart = flag.Float64("rps-start", 200, "arrival rate at the start of the ramp")
 		rpsEnd   = flag.Float64("rps-end", 800, "arrival rate at the end of the ramp")
 		workers  = flag.Int("workers", 2, "worker pool width (model replicas)")
-		format   = flag.String("format", "pattern", "packed execution format from the kernel registry (dense, coo, csr, blockcsr, pattern)")
+		format   = flag.String("format", "pattern", "packed execution format from the kernel registry ("+strings.Join(kernel.Formats(), ", ")+")")
 		kworkers = flag.Int("kernel-workers", 1, "parallel executor width inside each packed kernel")
 		batch    = flag.Int("batch", 8, "max dynamic batch size")
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "batch flush deadline")
-		policyN  = flag.String("policy", "governor", "level policy for -load: governor or rl")
-		autotune = flag.Bool("autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; supersedes -policy)")
-		atEvery  = flag.Duration("autotune-every", 10*time.Millisecond, "autotune control tick period")
-		atLog    = flag.Int("autotune-log", 12, "autotune: decision-log tail length printed after the run")
+		policyN  = flag.String("policy", "governor", "level-control strategy for -load: governor (battery thresholds) or rl (online REINFORCE learner)")
+		decLog   = flag.Int("decision-log", 12, "decision-log tail length printed after a -load run")
 		simDVFS  = flag.Bool("sim-dvfs", false, "stretch execution to the active level's modeled frequency (f_fastest/f_level), so slower levels show real latency pressure")
 		batteryJ = flag.Float64("battery-j", 0.25, "simulated battery capacity in joules (0 disables)")
-		targetMS = flag.Float64("target-ms", 50, "latency objective fed to the policy")
+		targetMS = flag.Float64("target-ms", 50, "latency objective the control loop's reward measures against")
 		seed     = flag.Int64("seed", 1, "rng seed")
 		verify   = flag.Bool("verify", true, "check every response against dense execution (classification mode)")
 		gen      = flag.Bool("gen", false, "generation mode: KV-cached incremental decoding with continuous batching on the encoder-decoder LM")
@@ -138,7 +137,7 @@ func main() {
 		adminAddr = flag.String("admin-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
 		traceOut  = flag.String("trace-out", "", "write retained request traces as Chrome trace_event JSON to this file on exit")
 		quiet     = flag.Bool("quiet", false, "suppress progress logging (warnings and errors only)")
-		verbose   = flag.Bool("v", false, "debug logging, including live autotune decision lines")
+		verbose   = flag.Bool("v", false, "debug logging, including live control decision lines")
 	)
 	flag.Parse()
 	logger := obs.NewLogger(os.Stderr, "rt3serve: ", obs.LevelFromFlags(*quiet, *verbose))
@@ -155,9 +154,6 @@ func main() {
 		specCfg = &serve.SpecConfig{DraftLevel: *specDraft, K: *specK, Auto: true}
 	}
 	if *clusterN > 0 {
-		if *autotune {
-			log.Fatal("-autotune drives a single server's level; cluster mode rolls levels out via drained switches instead")
-		}
 		// the single-server default battery (sized to force switches in a
 		// 2s demo) would knock every node out of rotation mid-load; in
 		// cluster mode the battery only drains when asked for explicitly —
@@ -224,21 +220,12 @@ func main() {
 		eng.Format(), eng.Replicas(), *kworkers, mode)
 
 	// smoke mode switches levels manually; only the load demo wants a
-	// policy (or the closed-loop controller) fighting for the level
+	// policy fighting for the level
 	var pol serve.Policy
-	var atCfg *serve.AutotuneConfig
-	if *autotune && !*load {
-		log.Fatal("-autotune requires -load (the smoke path switches levels manually)")
-	}
 	if *load {
-		if *autotune {
-			atCfg = &serve.AutotuneConfig{Every: *atEvery, Seed: *seed}
-		} else {
-			var err error
-			pol, err = buildPolicy(*policyN, eng, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
+		var err error
+		if pol, err = serve.NewPolicy(*policyN, eng.Levels(), *seed); err != nil {
+			log.Fatal(err)
 		}
 	}
 	srv := serve.New(eng, serve.Config{
@@ -246,8 +233,6 @@ func main() {
 		MaxDelay:        *maxDelay,
 		QueueCap:        4096,
 		Policy:          pol,
-		PolicyEvery:     10 * time.Millisecond,
-		Autotune:        atCfg,
 		TargetMS:        *targetMS,
 		SimDVFS:         *simDVFS,
 		BatteryJ:        *batteryJ,
@@ -256,12 +241,12 @@ func main() {
 		StepFloor:       *stepFloor,
 		Spec:            specCfg,
 		PrefixCacheRows: *prefixCache,
-		OnAutotuneDecision: func(d serve.AutotuneDecision) {
+		OnDecision: func(d serve.Decision) {
 			sw := "-"
 			if d.Switched {
 				sw = fmt.Sprintf("%.2fms", d.SwitchCostMS)
 			}
-			logger.Debugf("autotune tick %d: state %d level %d p99 %.2fms reward %.3f explore %v switch %s",
+			logger.Debugf("control tick %d: state %d level %d p99 %.2fms reward %.3f explore %v switch %s",
 				d.Tick, d.State, d.Level, d.Tel.Window.P99MS, d.Reward, d.Explore, sw)
 		},
 	})
@@ -301,12 +286,8 @@ func main() {
 		return
 	}
 
-	controller := *policyN
-	if *autotune {
-		controller = "closed-loop autotune"
-	}
 	logger.Infof("replaying %.0f->%.0f req/s over %s (policy %s, battery %.2f J)",
-		*rpsStart, *rpsEnd, *duration, controller, *batteryJ)
+		*rpsStart, *rpsEnd, *duration, *policyN, *batteryJ)
 	report, err := serve.RunLoad(srv, serve.LoadSpec{
 		Duration:     *duration,
 		StartRPS:     *rpsStart,
@@ -329,7 +310,7 @@ func main() {
 	printBatchStats(eng)
 	printDecodeStats(eng)
 	printSpecStats(srv)
-	printAutotune(srv, *atLog)
+	printDecisions(srv, *decLog)
 	if report.Switches == 0 && !draining(drain) {
 		log.Fatal("demo expected at least one live level switch; raise -duration or lower -battery-j")
 	}
@@ -476,11 +457,11 @@ func printSpecStats(srv *serve.Server) {
 	}
 }
 
-// printAutotune renders the closed-loop controller's run summary plus a
-// tail of its live decision log (the full trace is replayable offline
-// via serve.ReplayTrace — see docs/BENCHMARKS.md).
-func printAutotune(srv *serve.Server, tail int) {
-	tr, ok := srv.AutotuneTrace()
+// printDecisions renders the control loop's run summary plus a tail of
+// its live decision log (the full trace is replayable offline via
+// serve.ReplayTrace — see docs/BENCHMARKS.md).
+func printDecisions(srv *serve.Server, tail int) {
+	tr, ok := srv.DecisionTrace()
 	if !ok || len(tr.Decisions) == 0 {
 		return
 	}
@@ -502,8 +483,8 @@ func printAutotune(srv *serve.Server, tail int) {
 		rewardSum += d.Reward
 	}
 	n := len(tr.Decisions)
-	fmt.Printf("closed-loop autotune: %d control ticks (seed %d), %d explored, %d switches applied, %d window violations, mean reward %.3f\n",
-		n, tr.Seed, explored, switched, violations, rewardSum/float64(n))
+	fmt.Printf("level control (%s, seed %d): %d control ticks, %d explored, %d switches applied, %d window violations, mean reward %.3f\n",
+		tr.Policy, tr.Seed, n, explored, switched, violations, rewardSum/float64(n))
 	fmt.Print("  level decisions:")
 	for i, c := range perLevel {
 		fmt.Printf("  %s %d", eng.LevelName(i), c)
@@ -547,18 +528,6 @@ func writeTraceFile(logger *obs.Logger, srv *serve.Server, path string) {
 		return
 	}
 	logger.Infof("wrote %d request traces to %s", srv.Tracer().Len(), path)
-}
-
-// buildPolicy resolves the -policy flag.
-func buildPolicy(name string, eng *serve.Engine, seed int64) (serve.Policy, error) {
-	switch name {
-	case "governor":
-		return serve.NewGovernorPolicy(eng.Levels(), 64), nil
-	case "rl":
-		return serve.NewRLPolicy(eng.Levels(), dvfs.DefaultPowerModel(), seed)
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want governor or rl)", name)
-	}
 }
 
 // smoke sends a few requests through each level and prints the digests.

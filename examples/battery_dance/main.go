@@ -68,5 +68,5 @@ func main() {
 	fmt.Printf("battery empty after %d inferences, %d switches (%.2f ms total switch time)\n",
 		runs, switches, switchMS)
 	fmt.Println("\n(live version under real traffic: `go run ./cmd/rt3serve -load`;" +
-		" closed-loop RL instead of the scripted governor: `go run ./cmd/rt3serve -load -autotune`)")
+		" the online RL learner instead of the governor: `go run ./cmd/rt3serve -load -policy rl`)")
 }

@@ -65,6 +65,6 @@ func main() {
 	ms, _ := rec.SwitchTo(2) // battery low: jump to energy-saving mode
 	fmt.Printf("\nswitch l6 -> l3 took %.2f ms (pattern-set swap only)\n", ms)
 	fmt.Println("\n(next: `go run ./cmd/rt3serve -load` serves a deployment like this" +
-		" under live traffic; `-gen` for KV-cached generation, `-autotune` for the" +
-		" closed-loop RL/DVFS controller)")
+		" under live traffic; `-gen` for KV-cached generation, `-policy rl` for the" +
+		" online RL level controller)")
 }

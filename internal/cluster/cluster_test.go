@@ -1,8 +1,11 @@
 package cluster_test
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -419,5 +422,95 @@ func TestClusterMetricsExposition(t *testing.T) {
 	total := snap[`rt3_cluster_dispatches_total{node="0"}`] + snap[`rt3_cluster_dispatches_total{node="1"}`]
 	if total != 1 {
 		t.Fatalf("dispatches across nodes %v, want 1", total)
+	}
+}
+
+// TestRolloutNeverEmptiesRotation stresses the rollout window: a 2-node
+// fleet rolls levels back and forth in a tight loop while closed-loop
+// clients submit fresh sessions, each one a policy pick over the ready
+// set. A rollout takes at most one node out of rotation at a time, so
+// no submission may ever see an empty ready set.
+func TestRolloutNeverEmptiesRotation(t *testing.T) {
+	r := newCluster(t, 2, serve.Config{}, cluster.Config{Seed: 3})
+	d := 2 * time.Second
+	if testing.Short() {
+		d = 500 * time.Millisecond
+	}
+	end := time.Now().Add(d)
+	rollErr := make(chan error, 1)
+	go func() {
+		for lvl := 1; time.Now().Before(end); lvl ^= 1 {
+			if err := r.RolloutSwitch(lvl); err != nil {
+				rollErr <- err
+				return
+			}
+		}
+		rollErr <- nil
+	}()
+	const clients = 3
+	var refused, submitted atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c uint64) {
+			defer wg.Done()
+			for key := c; time.Now().Before(end); key += clients {
+				ch, err := r.SubmitGen(key, []int{1, 2, 3}, 1, -1)
+				switch {
+				case err == nil:
+					submitted.Add(1)
+					if resp := <-ch; resp.Err != nil {
+						t.Error(resp.Err)
+						return
+					}
+				case errors.Is(err, cluster.ErrNoReadyNodes):
+					refused.Add(1)
+				default:
+					t.Errorf("submit %d: %v", key, err)
+					return
+				}
+			}
+		}(uint64(c))
+	}
+	wg.Wait()
+	if err := <-rollErr; err != nil {
+		t.Fatal(err)
+	}
+	rollouts := r.Stats().Rollouts
+	t.Logf("%d submissions across %d rollouts", submitted.Load(), rollouts)
+	if refused.Load() > 0 || rollouts == 0 {
+		t.Fatalf("%d of %d submissions refused with ErrNoReadyNodes across %d rollouts, want 0 refusals",
+			refused.Load(), refused.Load()+submitted.Load(), rollouts)
+	}
+}
+
+// TestTraceCapNotReplayable: the router retains only the newest
+// decisions up to its cap, numbers them by dispatch order across the
+// eviction, and a trace that lost decisions refuses to replay.
+func TestTraceCapNotReplayable(t *testing.T) {
+	r := newCluster(t, 2, serve.Config{QueueCap: 1024}, cluster.Config{Seed: 9})
+	cluster.SetTraceCap(r, 8)
+	var chans []<-chan serve.GenResponse
+	for key := uint64(0); key < 20; key++ { // fresh sessions: one route decision each
+		ch, err := r.SubmitGen(key, []int{1, 2, 3}, 2, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	for _, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	tr := r.Trace()
+	if len(tr.Decisions) != 8 || tr.Dropped != 12 {
+		t.Fatalf("trace holds %d decisions, %d dropped; want 8 and 12", len(tr.Decisions), tr.Dropped)
+	}
+	if tr.Decisions[0].Seq != 12 || tr.Decisions[7].Seq != 19 {
+		t.Fatalf("retained seqs %d..%d, want 12..19", tr.Decisions[0].Seq, tr.Decisions[7].Seq)
+	}
+	if _, err := cluster.Replay(tr); err == nil {
+		t.Fatal("truncated router trace replayed without error")
 	}
 }

@@ -8,7 +8,7 @@
 // crash fails in-flight generations over to healthy nodes via
 // truncate-replay (the committed token prefix is re-submitted through
 // serve.SubmitGenResume). Router decisions are recorded in a seeded
-// trace replayable like the autotune decision trace.
+// trace replayable like the server's level-control decision trace.
 package cluster
 
 import (

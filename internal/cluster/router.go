@@ -28,6 +28,11 @@ var (
 // steady polling instead of multi-second stalls.
 const maxBackoff = 250 * time.Millisecond
 
+// traceCap bounds the decisions the router retains. Once decisions are
+// dropped the trace is no longer replayable — Trace.Dropped records how
+// many were lost.
+const traceCap = 65536
+
 // Config tunes the router. Zero values pick the documented defaults.
 type Config struct {
 	// Policy places requests without a live session pin (default
@@ -126,11 +131,15 @@ type Router struct {
 	// mu serializes routing: session-pin resolution, the policy pick
 	// (and its rng consumption), the trace append, and the admission
 	// attempt happen atomically per dispatch, which is what makes the
-	// decision trace replayable.
+	// decision trace replayable. Every node-state transition the router
+	// drives (start, drain, restore, crash) takes it too, so a dispatch
+	// reads one consistent fleet state.
 	mu         sync.Mutex
 	rng        *rand.Rand
 	sessions   map[uint64]int // session key -> node ID holding its pin
 	trace      []Decision
+	traceCap   int
+	decisions  int // decisions recorded, dropped ones included
 	breakers   []*breaker
 	breakerLog []BreakerEvent
 
@@ -176,6 +185,7 @@ func New(nodes []*Node, cfg Config) *Router {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		jrng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d)),
 		sessions: make(map[uint64]int),
+		traceCap: traceCap,
 		breakers: make([]*breaker, len(nodes)),
 	}
 	for i := range r.breakers {
@@ -194,8 +204,18 @@ func (r *Router) Policy() Policy { return r.pol }
 // Start launches every cold node.
 func (r *Router) Start() {
 	for _, nd := range r.nodes {
-		nd.Start()
+		r.transition(nd.Start)
 	}
+}
+
+// transition applies one node-state change under the routing lock. A
+// dispatch reads its ready set node by node under that lock, so no
+// rollout can restore one node and drain the next between two of those
+// reads and make a fleet with one node out of rotation look empty.
+func (r *Router) transition(f func() bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return f()
 }
 
 // ReadyNodes returns how many members currently accept traffic.
@@ -235,6 +255,7 @@ func (r *Router) Trace() Trace {
 		Seed:      r.cfg.Seed,
 		Decisions: append([]Decision(nil), r.trace...),
 		Breaker:   append([]BreakerEvent(nil), r.breakerLog...),
+		Dropped:   r.decisions - len(r.trace),
 	}
 }
 
@@ -433,12 +454,17 @@ func (r *Router) readySet(excluded map[int]bool) ([]int, []float64) {
 	return ready, loads
 }
 
-// record appends one policy decision to the trace. Caller holds r.mu.
+// record appends one policy decision to the trace, evicting the oldest
+// beyond the cap. Caller holds r.mu.
 func (r *Router) record(kind string, key uint64, ready []int, loads []float64, node int) {
+	if len(r.trace) >= r.traceCap {
+		r.trace = r.trace[1:]
+	}
 	r.trace = append(r.trace, Decision{
-		Seq: len(r.trace), Kind: kind, Key: key,
+		Seq: r.decisions, Kind: kind, Key: key,
 		Ready: ready, Loads: loads, Node: node,
 	})
+	r.decisions++
 }
 
 // commit books one dispatch onto a node.
@@ -577,7 +603,7 @@ func (r *Router) Drain(id int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if !nd.StartDrain() {
+	if !r.transition(nd.StartDrain) {
 		return 0, fmt.Errorf("cluster: node %d is %s, not active", id, nd.State())
 	}
 	t0 := time.Now()
@@ -595,7 +621,7 @@ func (r *Router) Restore(id int) error {
 	if err != nil {
 		return err
 	}
-	nd.Restore()
+	r.transition(nd.Restore)
 	return nil
 }
 
@@ -607,9 +633,12 @@ func (r *Router) Crash(id int) error {
 	if err != nil {
 		return err
 	}
-	if !nd.Crash() {
+	if !r.transition(nd.transitionDown) {
 		return fmt.Errorf("cluster: node %d is already down", id)
 	}
+	// outside the lock: Kill waits for in-flight work to abort at its
+	// next step boundary, and dispatch need not wait with it
+	nd.srv.Kill()
 	return nil
 }
 
@@ -625,11 +654,11 @@ func (r *Router) SwitchNode(id, level int) error {
 	if _, err := r.Drain(id); err != nil {
 		return err
 	}
-	if _, err := nd.srv.SwitchTo(level); err != nil {
-		nd.Restore()
+	_, err = nd.srv.SwitchTo(level)
+	r.transition(nd.Restore)
+	if err != nil {
 		return fmt.Errorf("cluster: switch on node %d: %w", id, err)
 	}
-	nd.Restore()
 	return nil
 }
 

@@ -49,17 +49,22 @@ type BreakerEvent struct {
 	To   string `json:"to"`
 }
 
-// Trace is the router's auditable decision log: every policy pick in
-// dispatch order, with the policy name and rng seed that produced it,
-// plus the circuit-breaker transitions observed along the way. Like the
-// autotune decision trace, it replays deterministically — Replay
-// re-runs the recorded inputs through a fresh policy and rng and
-// requires identical picks.
+// Trace is the router's auditable decision log: the most recent policy
+// picks (up to the router's cap) in dispatch order, with the policy name
+// and rng seed that produced them, plus the circuit-breaker transitions
+// observed along the way. Like the server's level-control decision
+// trace, a complete one replays deterministically — Replay re-runs the
+// recorded inputs through a fresh policy and rng and requires identical
+// picks.
 type Trace struct {
 	Policy    string         `json:"policy"`
 	Seed      int64          `json:"seed"`
 	Decisions []Decision     `json:"decisions"`
 	Breaker   []BreakerEvent `json:"breaker,omitempty"`
+	// Dropped counts the oldest decisions evicted by the trace cap; a
+	// trace with Dropped > 0 is not replayable (the rng history is
+	// incomplete).
+	Dropped int `json:"dropped,omitempty"`
 }
 
 // Replay re-executes the trace from its seed: a fresh policy instance
@@ -69,6 +74,9 @@ type Trace struct {
 // given deterministic policies, can only mean the trace was edited or
 // the policy implementation changed.
 func Replay(tr Trace) (int, error) {
+	if tr.Dropped > 0 {
+		return 0, fmt.Errorf("cluster: trace dropped %d decisions (trace cap exceeded); not replayable", tr.Dropped)
+	}
 	pol, err := NewPolicy(tr.Policy)
 	if err != nil {
 		return 0, err

@@ -22,6 +22,14 @@ const (
 	version = 1
 )
 
+// Decoder bounds: counts and dimensions above maxCount, and matrices
+// above maxElems values (512 MiB of float64), are rejected as
+// implausible before anything is allocated for them.
+const (
+	maxCount = 1 << 20
+	maxElems = 1 << 26
+)
+
 // Bundle is an RT3 deployment artifact.
 type Bundle struct {
 	// Weights holds each prunable matrix's dense backbone values
@@ -124,7 +132,6 @@ func Read(r io.Reader) (*Bundle, error) {
 	if hdr[1] != version {
 		return nil, fmt.Errorf("deploy: unsupported version %d", hdr[1])
 	}
-	const maxCount = 1 << 20
 	if hdr[2] > maxCount || hdr[3] > maxCount {
 		return nil, fmt.Errorf("deploy: implausible counts %d/%d", hdr[2], hdr[3])
 	}
@@ -138,16 +145,12 @@ func Read(r io.Reader) (*Bundle, error) {
 		if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
 			return nil, err
 		}
-		if dims[0] > maxCount || dims[1] > maxCount {
+		if dims[0] > maxCount || dims[1] > maxCount || uint64(dims[0])*uint64(dims[1]) > maxElems {
 			return nil, fmt.Errorf("deploy: implausible dims %dx%d", dims[0], dims[1])
 		}
-		data := make([]float64, int(dims[0])*int(dims[1]))
-		for j := range data {
-			var bits uint64
-			if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-				return nil, err
-			}
-			data[j] = math.Float64frombits(bits)
+		data, err := readFloats(r, int(dims[0])*int(dims[1]))
+		if err != nil {
+			return nil, fmt.Errorf("deploy: weight %q: %w", name, err)
 		}
 		b.Weights = append(b.Weights, WeightMatrix{Name: name, Rows: int(dims[0]), Cols: int(dims[1]), Data: data})
 	}
@@ -176,6 +179,9 @@ func Read(r io.Reader) (*Bundle, error) {
 			if psize == 0 || psize > 4096 {
 				return nil, fmt.Errorf("deploy: implausible psize %d", psize)
 			}
+			if err := need(r, int(psize)*int(psize)); err != nil {
+				return nil, err
+			}
 			p := pattern.NewPattern(int(psize))
 			if _, err := io.ReadFull(r, p.Bits); err != nil {
 				return nil, err
@@ -186,6 +192,42 @@ func Read(r io.Reader) (*Bundle, error) {
 		b.LevelNames = append(b.LevelNames, level)
 	}
 	return b, b.Validate()
+}
+
+// need fails fast when r can report its remaining length (a
+// bytes.Reader, as Decode uses) and it holds fewer than n bytes, so a
+// declared size is checked against the input before it is allocated.
+func need(r io.Reader, n int) error {
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() < n {
+		return fmt.Errorf("deploy: %d bytes declared, %d left: %w", n, l.Len(), io.ErrUnexpectedEOF)
+	}
+	return nil
+}
+
+// readFloats reads n little-endian float64 values. It reads in bounded
+// chunks and grows the result only as values arrive, so a reader that
+// cannot report its length still never costs more memory than the
+// input actually supplies.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	if err := need(r, 8*n); err != nil {
+		return nil, err
+	}
+	const chunk = 4096
+	data := make([]float64, 0, n)
+	if _, ok := r.(interface{ Len() int }); !ok {
+		data = make([]float64, 0, min(n, chunk))
+	}
+	var buf [8 * chunk]byte
+	for len(data) < n {
+		b := buf[:8*min(n-len(data), chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b = b[8:] {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		}
+	}
+	return data, nil
 }
 
 // Encode is a convenience wrapper returning the bundle bytes.

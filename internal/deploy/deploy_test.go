@@ -2,6 +2,8 @@ package deploy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -151,4 +153,67 @@ func TestSetBytesTiny(t *testing.T) {
 	if _, err := b.SetBytes(9); err == nil {
 		t.Fatal("out-of-range set accepted")
 	}
+}
+
+// hugeDims is a 27-byte bundle whose one weight declares 2^20 x 2^20
+// dims: each axis is within bounds, and before their product was
+// bounded the decoder allocated 2^40 float64s and the process died.
+func hugeDims() []byte {
+	var b bytes.Buffer
+	binary.Write(&b, binary.LittleEndian, []uint32{magic, version, 1, 0})
+	binary.Write(&b, binary.LittleEndian, uint16(1))
+	b.WriteString("w")
+	binary.Write(&b, binary.LittleEndian, []uint32{1 << 20, 1 << 20})
+	return b.Bytes()
+}
+
+func TestDecodeRejectsHugeDims(t *testing.T) {
+	data := hugeDims()
+	if len(data) != 27 {
+		t.Fatalf("hostile bundle is %d bytes, want 27", len(data))
+	}
+	if _, err := Decode(data); err == nil {
+		t.Fatal("2^20 x 2^20 weight decoded without error")
+	}
+	// 4096 x 4096 passes the size bounds but the input holds no values;
+	// a reader that cannot report its length must fail on the data, not
+	// on an up-front allocation
+	binary.LittleEndian.PutUint32(data[19:], 4096)
+	binary.LittleEndian.PutUint32(data[23:], 4096)
+	if _, err := Decode(data); err == nil {
+		t.Fatal("4096 x 4096 weight with no values decoded without error")
+	}
+	if _, err := Read(io.MultiReader(bytes.NewReader(data))); err == nil {
+		t.Fatal("4096 x 4096 weight with no values read without error")
+	}
+}
+
+// FuzzDecode: arbitrary bytes decode to an error or to a bundle, never
+// a panic or a runaway allocation; whatever decodes re-encodes to the
+// bytes it was read from, and Encode output always decodes.
+func FuzzDecode(f *testing.F) {
+	for seed := int64(0); seed < 3; seed++ {
+		data, err := sampleBundle(seed).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(hugeDims())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := b.Encode()
+		if err != nil {
+			t.Fatalf("decoded bundle does not re-encode: %v", err)
+		}
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatal("re-encoded bundle differs from the bytes it was decoded from")
+		}
+		if _, err := Decode(enc); err != nil {
+			t.Fatalf("Encode output does not decode: %v", err)
+		}
+	})
 }

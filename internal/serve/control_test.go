@@ -44,63 +44,90 @@ func simTelemetry(costs []hwsim.LevelCost, level int, battery, targetMS float64)
 	}
 }
 
-// TestAutotunerTraceReplay pins the auditability contract: feeding the
-// recorded telemetry back through a fresh controller with the same
-// configuration and seed reproduces every decision exactly.
+// newController builds a controller running the named policy over the
+// closed-loop test levels.
+func newController(t *testing.T, levels []dvfs.Level, policy string, seed int64) *serve.Controller {
+	t.Helper()
+	pol, err := serve.NewPolicy(policy, levels, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := serve.NewController(levels, dvfs.DefaultPowerModel(), 2e6, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestAutotunerTraceReplay pins the auditability contract for both
+// strategies: feeding the recorded telemetry back through a fresh
+// controller running the trace's policy from its seed reproduces every
+// decision exactly.
 func TestAutotunerTraceReplay(t *testing.T) {
 	levels := autotuneLevels(t)
 	power := dvfs.DefaultPowerModel()
-	cfg := serve.AutotuneConfig{Seed: 11}
-	at, err := serve.NewAutotuner(levels, power, 2e6, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := at.LevelCosts()
+	costs := hwsim.LevelCosts(levels, power, 2e6)
+	for _, policy := range []string{"governor", "rl"} {
+		t.Run(policy, func(t *testing.T) {
+			c := newController(t, levels, policy, 11)
+			// drive a live-looking run: telemetry follows the controller's
+			// own level choices while the battery drains
+			battery, level := 1.0, 0
+			for i := 0; i < 300; i++ {
+				dec := c.Step(simTelemetry(costs, level, battery, 15))
+				level = dec.Level
+				battery = math.Max(0, battery-costs[level].RelEnergy/250)
+			}
+			tr := c.Trace()
+			if len(tr.Decisions) != 300 || tr.Policy != policy {
+				t.Fatalf("trace has %d decisions of policy %q, want 300 of %q", len(tr.Decisions), tr.Policy, policy)
+			}
+			levelsSeen := map[int]bool{}
+			for _, d := range tr.Decisions {
+				levelsSeen[d.Level] = true
+			}
+			if len(levelsSeen) < 2 {
+				t.Fatalf("the %s never changed level over a draining battery", policy)
+			}
 
-	// drive a live-looking run: telemetry follows the controller's own
-	// level choices while the battery drains
-	battery, level := 1.0, 0
-	for i := 0; i < 300; i++ {
-		dec := at.Step(simTelemetry(costs, level, battery, 15))
-		level = dec.Level
-		battery = math.Max(0, battery-costs[level].RelEnergy/250)
-	}
-	tr := at.Trace()
-	if len(tr.Decisions) != 300 {
-		t.Fatalf("trace has %d decisions, want 300", len(tr.Decisions))
-	}
-
-	replayed, err := serve.ReplayTrace(levels, power, 2e6, cfg, tr)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	for i := range replayed {
-		if !replayed[i].SameAs(tr.Decisions[i]) {
-			t.Fatalf("decision %d diverged: live %+v vs replay %+v", i, tr.Decisions[i], replayed[i])
-		}
+			replayed, err := serve.ReplayTrace(levels, power, 2e6, tr)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			for i := range replayed {
+				if !replayed[i].SameAs(tr.Decisions[i]) {
+					t.Fatalf("decision %d diverged: live %+v vs replay %+v", i, tr.Decisions[i], replayed[i])
+				}
+			}
+		})
 	}
 }
 
-// TestAutotunerTraceCapTruncationNotReplayable: once TraceCap evicts
-// decisions the learning history is incomplete and replay must refuse.
+// TestAutotunerTraceCapTruncationNotReplayable: once the trace cap
+// evicts decisions the history is incomplete and replay must refuse,
+// whichever strategy ran.
 func TestAutotunerTraceCapTruncationNotReplayable(t *testing.T) {
 	levels := autotuneLevels(t)
 	power := dvfs.DefaultPowerModel()
-	cfg := serve.AutotuneConfig{Seed: 3, TraceCap: 16}
-	at, err := serve.NewAutotuner(levels, power, 2e6, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := at.LevelCosts()
-	for i := 0; i < 40; i++ {
-		at.Step(simTelemetry(costs, 0, 1, 15))
-	}
-	tr := at.Trace()
-	if tr.Dropped != 24 || len(tr.Decisions) != 16 {
-		t.Fatalf("Dropped=%d len=%d, want 24/16", tr.Dropped, len(tr.Decisions))
-	}
-	if _, err := serve.ReplayTrace(levels, power, 2e6, cfg, tr); err == nil {
-		t.Fatal("truncated trace replayed without error")
+	costs := hwsim.LevelCosts(levels, power, 2e6)
+	for _, policy := range []string{"governor", "rl"} {
+		t.Run(policy, func(t *testing.T) {
+			c := newController(t, levels, policy, 3)
+			serve.SetTraceCap(c, 16)
+			for i := 0; i < 40; i++ {
+				c.Step(simTelemetry(costs, 0, 1, 15))
+			}
+			tr := c.Trace()
+			if tr.Dropped != 24 || len(tr.Decisions) != 16 {
+				t.Fatalf("Dropped=%d len=%d, want 24/16", tr.Dropped, len(tr.Decisions))
+			}
+			if tr.Decisions[0].Tick != 25 {
+				t.Fatalf("oldest retained tick %d, want 25", tr.Decisions[0].Tick)
+			}
+			if _, err := serve.ReplayTrace(levels, power, 2e6, tr); err == nil {
+				t.Fatal("truncated trace replayed without error")
+			}
+		})
 	}
 }
 
@@ -132,10 +159,7 @@ func TestAutotunerBeatsWorstStaticLevel(t *testing.T) {
 		}
 	}
 
-	at, err := serve.NewAutotuner(levels, power, cycles, serve.AutotuneConfig{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	at := newController(t, levels, "rl", 2)
 	var closed float64
 	battery, level := 1.0, 0
 	for i := 0; i < ticks; i++ {
@@ -162,22 +186,30 @@ func TestAutotunerBeatsWorstStaticLevel(t *testing.T) {
 	}
 }
 
-// TestAutotuneServerLiveTrace drives a real server with the closed loop
-// enabled under load and checks the contract end to end: decisions were
-// made from live telemetry, applied switches drained cleanly (responses
-// all verify against dense execution), and the recorded trace replays.
+// newPolicy builds a named level policy over an engine's levels.
+func newPolicy(t *testing.T, eng *serve.Engine, policy string, seed int64) serve.Policy {
+	t.Helper()
+	pol, err := serve.NewPolicy(policy, eng.Levels(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
+// TestAutotuneServerLiveTrace drives a real server with the RL learner
+// under load and checks the contract end to end: decisions were made
+// from live telemetry, applied switches drained cleanly (responses all
+// verify against dense execution), and the recorded trace replays.
 func TestAutotuneServerLiveTrace(t *testing.T) {
 	eng, _ := newTestDeployment(t, 2)
 	defer eng.Close()
-	atCfg := serve.AutotuneConfig{
-		Every:   2 * time.Millisecond,
-		Epsilon: 0.9, // switch-happy: this test is about drains, not learning
-		Seed:    5,
-	}
+	serve.SetInitialExploration(t, 0.9) // switch-happy: this test is about drains, not learning
+	pol := newPolicy(t, eng, "rl", 5)
 	srv := serve.New(eng, serve.Config{
 		MaxBatch: 4, MaxDelay: time.Millisecond, QueueCap: 1024,
-		TargetMS: 20, BatteryJ: 0.05, Autotune: &atCfg,
+		TargetMS: 20, BatteryJ: 0.05, Policy: pol,
 	})
+	serve.SetControlTick(srv, 2*time.Millisecond)
 	srv.Start()
 	defer srv.Stop()
 
@@ -193,9 +225,9 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 	if report.Mismatches != 0 {
 		t.Fatalf("%d responses mismatched dense execution across live switches", report.Mismatches)
 	}
-	tr, ok := srv.AutotuneTrace()
+	tr, ok := srv.DecisionTrace()
 	if !ok || len(tr.Decisions) == 0 {
-		t.Fatal("no autotune trace recorded")
+		t.Fatal("no decision trace recorded")
 	}
 	applied := 0
 	for _, d := range tr.Decisions {
@@ -209,21 +241,66 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 	if report.Switches == 0 {
 		t.Fatal("recorder saw no switches")
 	}
-	if _, err := serve.ReplayTrace(eng.Levels(), dvfs.DefaultPowerModel(), 2e6, atCfg, tr); err != nil {
+	if _, err := serve.ReplayTrace(eng.Levels(), dvfs.DefaultPowerModel(), 2e6, tr); err != nil {
 		t.Fatalf("live trace replay: %v", err)
 	}
 }
 
-// TestAutotuneGenerateMode: the closed loop drives switches at
+// TestGovernorServerLiveTraceReplays: the governor runs through the same
+// control loop as the learner, so a live governor run under a draining
+// battery records a decision trace — with its applied switches — that
+// ReplayTrace reproduces.
+func TestGovernorServerLiveTraceReplays(t *testing.T) {
+	eng, _ := newTestDeployment(t, 2)
+	defer eng.Close()
+	srv := serve.New(eng, serve.Config{
+		MaxBatch: 4, MaxDelay: time.Millisecond, QueueCap: 1024,
+		TargetMS: 20, BatteryJ: 0.05, Policy: newPolicy(t, eng, "governor", 0),
+	})
+	serve.SetControlTick(srv, 2*time.Millisecond)
+	srv.Start()
+	defer srv.Stop()
+
+	if _, err := serve.RunLoad(srv, serve.LoadSpec{
+		Duration: 250 * time.Millisecond, StartRPS: 300, EndRPS: 900,
+		SeqLen: 10, Vocab: 24, Seed: 9,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tr, ok := srv.DecisionTrace()
+	if !ok || len(tr.Decisions) == 0 || tr.Policy != "governor" {
+		t.Fatalf("no governor decision trace recorded (ok %v, %d decisions, policy %q)", ok, len(tr.Decisions), tr.Policy)
+	}
+	applied := 0
+	for _, d := range tr.Decisions {
+		if d.Switched {
+			applied++
+		}
+	}
+	if applied == 0 {
+		t.Fatal("governor applied no switch while the battery drained")
+	}
+	replayed, err := serve.ReplayTrace(eng.Levels(), dvfs.DefaultPowerModel(), 2e6, tr)
+	if err != nil {
+		t.Fatalf("governor trace replay: %v", err)
+	}
+	if len(replayed) != len(tr.Decisions) {
+		t.Fatalf("replayed %d of %d decisions", len(replayed), len(tr.Decisions))
+	}
+}
+
+// TestAutotuneGenerateMode: the learner drives switches at
 // decode-step granularity while generations are in flight.
 func TestAutotuneGenerateMode(t *testing.T) {
 	eng, _ := newLMDeployment(t, 1, "pattern")
 	defer eng.Close()
-	atCfg := serve.AutotuneConfig{Every: time.Millisecond, Epsilon: 0.9, Seed: 4}
+	serve.SetInitialExploration(t, 0.9)
+	pol := newPolicy(t, eng, "rl", 4)
 	srv := serve.New(eng, serve.Config{
 		Generate: true, MaxBatch: 4, QueueCap: 256,
-		MaxGenTokens: 12, TargetMS: 20, BatteryJ: 0.05, Autotune: &atCfg,
+		MaxGenTokens: 12, TargetMS: 20, BatteryJ: 0.05, Policy: pol,
 	})
+	serve.SetControlTick(srv, time.Millisecond)
 	srv.Start()
 	defer srv.Stop()
 
@@ -250,9 +327,9 @@ func TestAutotuneGenerateMode(t *testing.T) {
 			t.Fatalf("generation %d returned no tokens", i)
 		}
 	}
-	tr, ok := srv.AutotuneTrace()
+	tr, ok := srv.DecisionTrace()
 	if !ok || len(tr.Decisions) == 0 {
-		t.Fatal("no autotune trace in generate mode")
+		t.Fatal("no decision trace in generate mode")
 	}
 }
 

@@ -37,8 +37,7 @@ type LevelStats struct {
 // lives in a Registry and is scraped via /metrics — plus two sample
 // stores the registry cannot carry losslessly: exact per-level latency
 // slices (Snapshot/Overall quantiles are exact, not bucketed) and the
-// sliding telemetry windows the level policies and the closed-loop
-// autotuner decide on. All methods are safe for concurrent use.
+// sliding telemetry windows the level-control loop decides on. All methods are safe for concurrent use.
 type Recorder struct {
 	reg *obs.Registry
 
@@ -158,7 +157,7 @@ func (r *Recorder) ObserveTokens(n int) {
 }
 
 // Counters returns the cumulative completed-request and generated-token
-// counts. The autotuner differences successive reads to derive
+// counts. The control loop differences successive reads to derive
 // throughput rates per control tick.
 func (r *Recorder) Counters() (completed, tokens int64) {
 	for _, c := range r.reqs {
@@ -178,13 +177,6 @@ func (r *Recorder) ObserveSwitch(modelMS, wallMS float64) {
 	r.switches.Inc()
 	r.switchModel.Add(modelMS)
 	r.switchStall.Observe(wallMS)
-}
-
-// RecentP95 returns the p95 latency of the sliding window (0 when empty).
-func (r *Recorder) RecentP95() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recent.Quantile(0.95)
 }
 
 // WindowStats digests the sliding telemetry window: latency quantiles of
@@ -209,8 +201,7 @@ type WindowStats struct {
 }
 
 // RecentStats snapshots the sliding telemetry window — the live signal
-// set the closed-loop autotuner converts into its RL state each control
-// tick.
+// set the level-control loop samples into Telemetry each tick.
 func (r *Recorder) RecentStats() WindowStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -46,7 +46,6 @@ func TestRecorderFacadeConcurrent(t *testing.T) {
 					rec.Overall()
 				case 4:
 					rec.RecentStats()
-					rec.RecentP95()
 				case 5:
 					rec.Counters()
 					rec.MeanBatch()

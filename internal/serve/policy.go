@@ -8,105 +8,134 @@ import (
 	"rt3/internal/rl"
 )
 
-// Policy decides which V/F level the server should run at next. Decide
-// is called from the server's policy loop, never concurrently.
+// Policy is one strategy of the server's level-control loop, built by
+// NewPolicy. Every control tick the loop hands decide a decision record
+// whose Tick, Tel, Reward and TimingMet are already filled in; decide
+// sets Level — and, for a learner, State, Explore and Epsilon. Each
+// strategy is a deterministic function of its name, seed and the
+// records it has seen: that is what lets ReplayTrace rebuild it from a
+// trace and reproduce a run. The set is closed, so every trace a server
+// records names a strategy ReplayTrace can rebuild.
 type Policy interface {
-	Decide(s Status) int
+	name() string // the name NewPolicy accepts
+	seed() int64  // the seed it was built with (0 when unseeded)
+	decide(d *Decision)
 }
 
-// GovernorPolicy drives the level from the simulated battery through the
-// dvfs energy-threshold governor — the paper's "dancing along battery"
-// behaviour — with one escalation: when the queue backs up past
-// HighWater, it requests one level faster than the governor would,
-// trading energy for latency under pressure.
-type GovernorPolicy struct {
-	Gov *dvfs.Governor
-	// HighWater is the queue depth that triggers escalation (0 disables).
-	HighWater int
-}
-
-// NewGovernorPolicy builds the default battery-driven policy over the
-// deployed levels (fastest first).
-func NewGovernorPolicy(levels []dvfs.Level, highWater int) *GovernorPolicy {
-	return &GovernorPolicy{Gov: dvfs.NewGovernor(levels), HighWater: highWater}
-}
-
-// Decide implements Policy.
-func (p *GovernorPolicy) Decide(s Status) int {
-	idx := p.Gov.PickIndex(s.BatteryFraction)
-	if p.HighWater > 0 && s.QueueDepth >= p.HighWater && idx > 0 {
-		idx--
+// NewPolicy builds a level-control strategy over the deployed levels
+// (fastest first):
+//
+//   - "governor" drives the level from the simulated battery through the
+//     dvfs energy-threshold governor — the paper's "dancing along
+//     battery" behaviour — and buys one level back when the queue backs
+//     up past governorHighWater;
+//   - "rl" learns the level online with the paper's REINFORCE machinery,
+//     conditioned on the quantized telemetry window, choosing
+//     epsilon-greedily and reinforcing each decision with the reward the
+//     next window credits it.
+//
+// seed seeds the learner's weights and exploration stream; the governor
+// ignores it.
+func NewPolicy(name string, levels []dvfs.Level, seed int64) (Policy, error) {
+	if len(levels) == 0 {
+		return nil, fmt.Errorf("serve: policy needs at least one level")
 	}
-	return idx
+	switch name {
+	case "governor":
+		return &governorPolicy{gov: dvfs.NewGovernor(levels)}, nil
+	case "rl":
+		return newRLPolicy(len(levels), seed)
+	}
+	return nil, fmt.Errorf("serve: unknown policy %q (want governor or rl)", name)
 }
 
-// RLPolicy learns the level online with the paper's REINFORCE machinery:
-// the rl.Controller's set head picks one of the deployed levels each
-// tick, and the realized Status one tick later is folded back as reward —
-// positive when the latency objective holds, plus an energy bonus for
-// running cheap levels that grows as the battery drains.
-type RLPolicy struct {
-	// EnergyWeight scales the low-power bonus (default 0.8).
-	EnergyWeight float64
+// governorHighWater is the queue depth at which the governor escalates
+// one level faster than the battery alone would pick, trading energy
+// for latency under pressure.
+const governorHighWater = 64
 
+type governorPolicy struct{ gov *dvfs.Governor }
+
+func (p *governorPolicy) name() string { return "governor" }
+func (p *governorPolicy) seed() int64  { return 0 }
+
+func (p *governorPolicy) decide(d *Decision) {
+	d.Level = p.gov.PickIndex(d.Tel.BatteryFraction)
+	if d.Tel.QueueDepth >= governorHighWater && d.Level > 0 {
+		d.Level--
+	}
+}
+
+// The learner's hyperparameters: exploration starts at rlEpsilon and
+// decays by rlEpsilonDecay per tick down to rlEpsilonMin.
+const (
+	rlEpsilonDecay  = 0.995
+	rlEpsilonMin    = 0.02
+	rlLR            = 0.05
+	rlBaselineDecay = 0.7
+	rlHidden        = 8
+)
+
+// rlEpsilon is a variable only so tests can build switch-happy learners.
+var rlEpsilon = 0.3
+
+// rlPolicy is the online REINFORCE learner: the rl.Controller's set head
+// picks one of the deployed levels per tick from the state the
+// telemetry window quantizes into.
+type rlPolicy struct {
+	rngSeed   int64
+	numLevels int
+	space     rl.StateSpace
 	ctrl      *rl.Controller
 	base      *rl.Baseline
 	rng       *rand.Rand
-	relPower  []float64 // per level, relative to the fastest
-	numLevels int
-	lastEp    *rl.Episode
-	lastLevel int
+	eps       float64
+	prev      *rl.Episode // last decision's episode, pending its reward
 }
 
-// NewRLPolicy builds an online level policy over the deployed levels
-// (fastest first) using the given power model for the energy bonus.
-func NewRLPolicy(levels []dvfs.Level, power dvfs.PowerModel, seed int64) (*RLPolicy, error) {
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("serve: RLPolicy needs at least one level")
-	}
+func newRLPolicy(numLevels int, seed int64) (*rlPolicy, error) {
+	space := rl.DefaultStateSpace()
 	rng := rand.New(rand.NewSource(seed))
 	ctrl, err := rl.NewController(rl.Config{
-		Hidden: 8, NumSets: len(levels), NumPatterns: 1, Levels: 1, K: 1, LR: 0.1,
+		Hidden:  rlHidden,
+		NumSets: numLevels, NumPatterns: 1, Levels: 1, K: 1,
+		LR:     rlLR,
+		States: space.States(),
 	}, rng)
 	if err != nil {
 		return nil, err
 	}
-	p := &RLPolicy{
-		EnergyWeight: 0.8,
-		ctrl:         ctrl,
-		base:         rl.NewBaseline(0.7),
-		rng:          rng,
-		numLevels:    len(levels),
-	}
-	p0 := power.Power(levels[0])
-	for _, l := range levels {
-		p.relPower = append(p.relPower, power.Power(l)/p0)
-	}
-	return p, nil
+	return &rlPolicy{
+		rngSeed: seed, numLevels: numLevels, space: space,
+		ctrl: ctrl, base: rl.NewBaseline(rlBaselineDecay), rng: rng, eps: rlEpsilon,
+	}, nil
 }
 
-// Decide implements Policy: it first reinforces the previous decision
-// with the reward implied by the observed Status, then samples the next
-// level from the set head.
-func (p *RLPolicy) Decide(s Status) int {
-	if p.lastEp != nil {
-		adv := p.base.Update(p.reward(s))
-		p.ctrl.Reinforce(p.lastEp, adv)
-	}
-	ep := p.ctrl.SampleSet(p.rng)
-	p.lastEp = ep
-	p.lastLevel = ep.SetChoices[0] % p.numLevels
-	return p.lastLevel
-}
+func (p *rlPolicy) name() string { return "rl" }
+func (p *rlPolicy) seed() int64  { return p.rngSeed }
 
-// reward scores the previous decision from the Status it produced.
-func (p *RLPolicy) reward(s Status) float64 {
-	r := 1.0
-	if s.TargetMS > 0 && s.RecentP95MS > s.TargetMS {
-		r = -1
+// decide first reinforces the previous decision with the reward this
+// tick credits it, then quantizes the window into the controller's
+// context state and picks the next level epsilon-greedily.
+func (p *rlPolicy) decide(d *Decision) {
+	if p.prev != nil {
+		p.ctrl.Reinforce(p.prev, p.base.Update(d.Reward))
 	}
-	// running below peak power earns a bonus that matters more as the
-	// battery drains (0.2 keeps a mild preference even on full charge)
-	r += p.EnergyWeight * (1 - p.relPower[p.lastLevel]) * (1 - s.BatteryFraction + 0.2)
-	return r
+	tel := d.Tel
+	ratio := 0.0
+	if tel.TargetMS > 0 && tel.Window.Samples > 0 {
+		ratio = tel.Window.P99MS / tel.TargetMS
+	}
+	d.State = p.space.Encode(ratio, tel.BatteryFraction, tel.Window.FillRatio)
+	d.Epsilon = p.eps
+	if p.rng.Float64() < p.eps {
+		d.Explore = true
+		p.prev = p.ctrl.SampleSetFrom(d.State, p.rng)
+	} else {
+		p.prev = p.ctrl.GreedySetFrom(d.State)
+	}
+	if p.eps *= rlEpsilonDecay; p.eps < rlEpsilonMin {
+		p.eps = rlEpsilonMin
+	}
+	d.Level = p.prev.SetChoices[0] % p.numLevels
 }

@@ -269,50 +269,70 @@ func TestSubmitAdmission(t *testing.T) {
 }
 
 // TestGovernorPolicyDecisions unit-tests the battery-driven policy with
-// queue-pressure escalation.
+// queue-pressure escalation (at a queue depth of 64).
 func TestGovernorPolicyDecisions(t *testing.T) {
 	levels := []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[3], dvfs.OdroidXU3Levels[2]}
-	p := serve.NewGovernorPolicy(levels, 10)
-	if got := p.Decide(serve.Status{BatteryFraction: 0.9}); got != 0 {
-		t.Fatalf("full battery picked level %d", got)
-	}
-	if got := p.Decide(serve.Status{BatteryFraction: 0.5}); got != 1 {
-		t.Fatalf("half battery picked level %d", got)
-	}
-	if got := p.Decide(serve.Status{BatteryFraction: 0.1}); got != 2 {
-		t.Fatalf("low battery picked level %d", got)
-	}
-	// queue pressure buys one level back
-	if got := p.Decide(serve.Status{BatteryFraction: 0.1, QueueDepth: 12}); got != 1 {
-		t.Fatalf("pressured low battery picked level %d", got)
-	}
-	if got := p.Decide(serve.Status{BatteryFraction: 0.9, QueueDepth: 12}); got != 0 {
-		t.Fatalf("pressured full battery picked level %d", got)
-	}
-}
-
-// TestRLPolicyLearnsEnergySaving drives the REINFORCE policy with a
-// drained battery and a met latency target: the energy bonus must teach
-// it to prefer the low-power level.
-func TestRLPolicyLearnsEnergySaving(t *testing.T) {
-	levels := []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[3], dvfs.OdroidXU3Levels[2]}
-	p, err := serve.NewRLPolicy(levels, dvfs.DefaultPowerModel(), 13)
+	p, err := serve.NewPolicy("governor", levels, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := serve.Status{BatteryFraction: 0.1, RecentP95MS: 1, TargetMS: 10, NumLevels: 3}
+	c, err := serve.NewController(levels, dvfs.DefaultPowerModel(), 2e6, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		battery float64
+		queue   int
+		want    int
+	}{
+		{"full battery", 0.9, 0, 0},
+		{"half battery", 0.5, 0, 1},
+		{"low battery", 0.1, 0, 2},
+		{"low battery below high water", 0.1, 63, 2},
+		{"pressured low battery", 0.1, 64, 1},
+		{"pressured half battery", 0.5, 200, 0},
+		{"pressured full battery", 0.9, 64, 0},
+	} {
+		d := c.Step(serve.Telemetry{BatteryFraction: tc.battery, QueueDepth: tc.queue})
+		if d.Level != tc.want {
+			t.Errorf("%s (battery %.1f, queue %d): level %d, want %d", tc.name, tc.battery, tc.queue, d.Level, tc.want)
+		}
+	}
+}
+
+// TestRLPolicyLearnsEnergySaving drives the RL learner with a drained
+// battery and a met latency target, the telemetry following its own
+// level choices: the energy bonus must teach it to prefer the low-power
+// level.
+func TestRLPolicyLearnsEnergySaving(t *testing.T) {
+	levels := []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[3], dvfs.OdroidXU3Levels[2]}
+	p, err := serve.NewPolicy("rl", levels, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := serve.NewController(levels, dvfs.DefaultPowerModel(), 2e6, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := serve.Telemetry{
+		Window:          serve.WindowStats{Samples: 64, P99MS: 1},
+		BatteryFraction: 0.1,
+		TargetMS:        10,
+	}
 	counts := make([]int, 3)
 	const steps = 500
 	for i := 0; i < steps; i++ {
-		lvl := p.Decide(st)
-		if lvl < 0 || lvl > 2 {
-			t.Fatalf("level %d out of range", lvl)
+		d := c.Step(tel)
+		if d.Level < 0 || d.Level > 2 {
+			t.Fatalf("level %d out of range", d.Level)
 		}
 		if i >= steps/2 {
-			counts[lvl]++
+			counts[d.Level]++
 		}
+		tel.Level = d.Level
 	}
-	if counts[2] <= counts[0] {
+	if counts[2] <= counts[0] || counts[0] > steps/20 {
 		t.Fatalf("policy did not learn energy saving: counts %v", counts)
 	}
 }
@@ -322,13 +342,16 @@ func TestRLPolicyLearnsEnergySaving(t *testing.T) {
 // live switches and every response must verify against dense execution.
 func TestRunLoadWithGovernor(t *testing.T) {
 	eng, _ := newTestDeployment(t, 2)
+	governor, err := serve.NewPolicy("governor", eng.Levels(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := serve.New(eng, serve.Config{
-		MaxBatch:    4,
-		MaxDelay:    time.Millisecond,
-		QueueCap:    4096,
-		Policy:      serve.NewGovernorPolicy(eng.Levels(), 0),
-		PolicyEvery: 5 * time.Millisecond,
-		BatteryJ:    0.05,
+		MaxBatch: 4,
+		MaxDelay: time.Millisecond,
+		QueueCap: 4096,
+		Policy:   governor,
+		BatteryJ: 0.05,
 	})
 	s.Start()
 	defer s.Stop()

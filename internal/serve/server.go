@@ -66,22 +66,16 @@ type Config struct {
 	// (split requests still compute prefix+suffix, just without sharing).
 	PrefixCacheRows int
 
-	// Policy, when set, is consulted every PolicyEvery (default 20ms)
-	// with the current Status; a differing decision triggers a live
-	// level switch.
-	Policy      Policy
-	PolicyEvery time.Duration
-	// TargetMS is the latency objective surfaced to the policy.
+	// Policy, when set, runs the level-control loop: every control tick
+	// (10ms) it samples the live Telemetry, lets the policy (NewPolicy:
+	// the battery governor or the online RL learner) pick a level, and
+	// drives a differing pick as a hot pattern-set/V/F switch through
+	// the drain path — recording a bounded, replayable decision trace
+	// (see Controller, ReplayTrace). Nil runs no controller.
+	Policy Policy
+	// TargetMS is the latency objective the control loop's reward (and
+	// the learner's state) measures the telemetry window against.
 	TargetMS float64
-
-	// Autotune, when set, runs the closed-loop RL/DVFS controller
-	// instead of the Policy loop: every control tick it samples the
-	// sliding telemetry window, quantizes it into the rl state space,
-	// queries the controller policy epsilon-greedily, learns online from
-	// the observed reward, and drives hot pattern-set/V/F switches
-	// through the drain path — recording an auditable decision trace
-	// (see Autotuner). Supersedes Policy when both are set.
-	Autotune *AutotuneConfig
 
 	// Trace configures request-scoped tracing. The zero value enables
 	// capture with the obs defaults (free-listed span buffers, sampled
@@ -91,12 +85,11 @@ type Config struct {
 	// exported via Server.Tracer (JSONL or Chrome trace_event).
 	Trace obs.TracerConfig
 
-	// OnAutotuneDecision, when set, is invoked from the autotune loop
-	// after every control tick with the decision as applied (Switched and
-	// SwitchCostMS filled in). Callers use it to stream decision lines
-	// through a logger; the callback runs on the control loop goroutine
-	// and must not block.
-	OnAutotuneDecision func(AutotuneDecision)
+	// OnDecision, when set, is invoked from the control loop after every
+	// tick with the decision as applied (Switched and SwitchCostMS filled
+	// in). Callers use it to stream decision lines through a logger; the
+	// callback runs on the control loop goroutine and must not block.
+	OnDecision func(Decision)
 
 	// StepFloor, when > 0, is the modeled minimum wall time of one fused
 	// execution (a batch forward, a prefill pass, or a decode step): the
@@ -116,7 +109,7 @@ type Config struct {
 	// the modeled mobile core, so without this a slower level changes
 	// energy accounting but never observable latency; with it, slow
 	// levels build real queue pressure under load — the latency/energy
-	// trade the closed-loop autotuner navigates.
+	// trade the level-control loop navigates.
 	SimDVFS bool
 
 	// BatteryJ, when > 0, enables the simulated battery: every request
@@ -139,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
-	}
-	if c.PolicyEvery <= 0 {
-		c.PolicyEvery = 20 * time.Millisecond
 	}
 	if c.MaxGenTokens <= 0 {
 		c.MaxGenTokens = 32
@@ -181,15 +171,12 @@ type request struct {
 	tr   *obs.Trace // nil when tracing is disabled
 }
 
-// Status is the server state snapshot handed to the level policy.
+// Status is a cheap snapshot of the server's load and level — what a
+// cluster router scores nodes by on every dispatch.
 type Status struct {
 	Level           int
-	NumLevels       int
 	QueueDepth      int
-	QueueCap        int
 	BatteryFraction float64 // 1 when energy accounting is disabled
-	RecentP95MS     float64
-	TargetMS        float64
 }
 
 // Server is the batched, reconfiguration-aware inference frontend: a
@@ -204,7 +191,7 @@ type Server struct {
 	rec    *Recorder
 	reg    *obs.Registry
 	tracer *obs.Tracer // nil when Config.Trace.Disabled
-	tuner  *Autotuner  // non-nil when Config.Autotune is set
+	ctrl   *Controller // non-nil when Config.Policy is set
 
 	// prefixCache is the cross-request radix prefix KV cache, shared by
 	// every decode worker (nil unless Config.PrefixCacheRows != 0).
@@ -296,15 +283,13 @@ func New(eng *Engine, cfg Config) *Server {
 			"Tokens committed by speculative rounds (accepted + corrections/bonuses).",
 			func() float64 { return float64(s.specCommitted.Load()) })
 	}
-	if cfg.Autotune != nil {
-		tuner, err := NewAutotuner(eng.Levels(), cfg.Power, cfg.CyclesPerInference, *cfg.Autotune)
+	if cfg.Policy != nil {
+		ctrl, err := NewController(eng.Levels(), cfg.Power, cfg.CyclesPerInference, cfg.Policy)
 		if err != nil {
-			panic("serve: " + err.Error())
+			panic(err.Error())
 		}
-		s.tuner = tuner
-		ac := tuner.cfg // defaults resolved once, the loop reads them
-		s.cfg.Autotune = &ac
-		tuner.RegisterMetrics(reg)
+		s.ctrl = ctrl
+		ctrl.registerMetrics(reg)
 	}
 	eng.RegisterMetrics(reg)
 	kernel.RegisterMetrics(reg)
@@ -320,7 +305,7 @@ func New(eng *Engine, cfg Config) *Server {
 func (s *Server) Recorder() *Recorder { return s.rec }
 
 // Metrics exposes the server's metrics registry — every instrument the
-// recorder, engine, reconfigurator, tracer and autotuner register. The
+// recorder, engine, reconfigurator, tracer and controller register. The
 // admin endpoint serves it as /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
@@ -333,8 +318,8 @@ func (s *Server) Engine() *Engine { return s.eng }
 
 // Start launches the worker pool — the dynamic batcher plus one batch
 // worker per engine replica, or (in Generate mode) one continuous-
-// batching decode loop per replica — and, when configured, the
-// closed-loop autotuner or the policy loop.
+// batching decode loop per replica — and, when Config.Policy is set,
+// the level-control loop.
 func (s *Server) Start() {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -355,13 +340,9 @@ func (s *Server) Start() {
 			go s.worker(i)
 		}
 	}
-	switch {
-	case s.tuner != nil:
+	if s.ctrl != nil {
 		s.wg.Add(1)
-		go s.autotuneLoop()
-	case s.cfg.Policy != nil:
-		s.wg.Add(1)
-		go s.policyLoop()
+		go s.controlLoop()
 	}
 }
 
@@ -480,17 +461,12 @@ func (s *Server) Stopped() bool {
 	return s.stopped
 }
 
-// Status snapshots the signals a level policy decides on.
+// Status snapshots the active level, queue depth and battery charge.
 func (s *Server) Status() Status {
-	frac := s.BatteryFraction()
 	return Status{
 		Level:           s.eng.Level(),
-		NumLevels:       s.eng.NumLevels(),
 		QueueDepth:      len(s.in) + len(s.genIn),
-		QueueCap:        s.cfg.QueueCap,
-		BatteryFraction: frac,
-		RecentP95MS:     s.rec.RecentP95(),
-		TargetMS:        s.cfg.TargetMS,
+		BatteryFraction: s.BatteryFraction(),
 	}
 }
 
@@ -734,26 +710,5 @@ func (s *Server) drainEnergy(level, n int) {
 	defer s.batMu.Unlock()
 	if !s.battery.Drain(e) {
 		s.battery.Remaining = 0
-	}
-}
-
-// policyLoop periodically asks the policy for a level and applies it.
-func (s *Server) policyLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.PolicyEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-			st := s.Status()
-			want := s.cfg.Policy.Decide(st)
-			if want != st.Level {
-				if _, err := s.SwitchTo(want); err != nil {
-					continue
-				}
-			}
-		}
 	}
 }
